@@ -46,7 +46,10 @@ void WorkerPool::run(int tasks, const std::function<void(int)>& fn) {
   }
   std::unique_lock<std::mutex> lock(mutex_);
   done_ += claimed;
-  done_cv_.wait(lock, [&] { return done_ == tasks_; });
+  // Closing the region (fn_ = nullptr) under the same lock hold as the
+  // check means no worker can join after the last one has left, and none
+  // is still claiming from next_ when the next region resets it.
+  done_cv_.wait(lock, [&] { return done_ == tasks_ && active_ == 0; });
   fn_ = nullptr;
 }
 
@@ -60,8 +63,10 @@ void WorkerPool::worker_loop() {
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      if (fn_ == nullptr) continue;  // woke after the region closed
       fn = fn_;
       tasks = tasks_;
+      ++active_;
     }
     int claimed = 0;
     for (;;) {
@@ -70,11 +75,9 @@ void WorkerPool::worker_loop() {
       (*fn)(i);
       ++claimed;
     }
-    if (claimed > 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_ += claimed;
-      if (done_ == tasks_) done_cv_.notify_one();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    done_ += claimed;
+    if (--active_ == 0 && done_ == tasks_) done_cv_.notify_one();
   }
 }
 

@@ -17,6 +17,11 @@
 // (level-chunked CPM passes, Monte Carlo sample blocks) follows that rule,
 // which is how results stay bit-identical at any thread count.
 //
+// Region exit: run() returns only after every worker that joined the
+// region has left it, and a worker that wakes after the region closed never
+// joins it — so no worker can claim a later region's indices or call a
+// finished region's fn.
+//
 // run() is serialized internally (concurrent callers queue on a mutex) and
 // must not be re-entered from inside a task.  Tasks must not throw.
 
@@ -44,8 +49,9 @@ class WorkerPool {
   [[nodiscard]] int threads() const { return threads_; }
 
   /// Runs fn(i) for every i in [0, tasks) across the workers plus the
-  /// calling thread; returns once all have finished.  Safe to call from
-  /// multiple threads (calls serialize); NOT re-entrant from inside a task.
+  /// calling thread; returns once all have finished and every worker has
+  /// left the region.  Safe to call from multiple threads (calls
+  /// serialize); NOT re-entrant from inside a task.
   void run(int tasks, const std::function<void(int)>& fn);
 
   /// Process-wide pool sized to the hardware, for callers without their
@@ -62,15 +68,18 @@ class WorkerPool {
   std::mutex run_mutex_;  ///< serializes concurrent run() callers
 
   // One "region" per run() call.  Workers wake on generation_ changing,
-  // claim task indices from next_, and count completions into done_.
+  // join while fn_ is set (counted in active_), claim task indices from
+  // next_, and count completions into done_.  The caller clears fn_ only
+  // once done_ == tasks_ && active_ == 0.
   std::mutex mutex_;
   std::condition_variable work_cv_;   ///< workers wait for a new generation
-  std::condition_variable done_cv_;   ///< caller waits for done_ == tasks_
+  std::condition_variable done_cv_;   ///< caller waits for the region to drain
   std::uint64_t generation_ = 0;
   int tasks_ = 0;
   const std::function<void(int)>* fn_ = nullptr;
   std::atomic<int> next_{0};
   int done_ = 0;
+  int active_ = 0;  ///< workers currently inside the region
   bool stop_ = false;
 };
 

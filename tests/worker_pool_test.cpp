@@ -1,10 +1,13 @@
 // Unit tests for the shared worker pool: task coverage, reuse across jobs,
-// caller participation, and the single-thread inline path.
+// caller participation, the single-thread inline path, and region-exit
+// stress (back-to-back tiny regions, concurrent run() callers).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/worker_pool.hpp"
@@ -59,6 +62,50 @@ TEST(WorkerPool, SharedPoolIsProcessWide) {
   std::atomic<int> count{0};
   a.run(10, [&](int) { count++; });
   EXPECT_EQ(count.load(), 10);
+}
+
+// Runs `regions` back-to-back tiny regions (1-4 tasks) on `pool`, each with
+// its own closure and hit array.  A worker that outlives its region and runs
+// a later region's tasks with a stale fn, or a task run twice or never,
+// shows up as a wrong-region hit or a slot count other than 1.
+void run_tiny_regions(WorkerPool& pool, int regions, int salt,
+                      std::atomic<int>& wrong_region) {
+  for (int r = 0; r < regions; ++r) {
+    const int tasks = 1 + (r + salt) % 4;
+    std::array<std::atomic<int>, 4> hits{};
+    std::atomic<int> current{r};
+    pool.run(tasks, [&, r, tasks](int t) {
+      if (current.load() != r || t < 0 || t >= tasks) {
+        wrong_region++;
+        return;
+      }
+      hits[static_cast<std::size_t>(t)]++;
+    });
+    current = -1;  // any late call through this closure now counts wrong
+    for (int t = 0; t < 4; ++t)
+      ASSERT_EQ(hits[static_cast<std::size_t>(t)].load(), t < tasks ? 1 : 0)
+          << "region " << r << " task " << t << " of " << tasks;
+  }
+}
+
+TEST(WorkerPool, BackToBackTinyRegionsStayInTheirRegion) {
+  for (int threads : {2, 4, 8}) {
+    WorkerPool pool(threads);
+    std::atomic<int> wrong_region{0};
+    run_tiny_regions(pool, 25000, 0, wrong_region);
+    EXPECT_EQ(wrong_region.load(), 0) << "threads=" << threads;
+  }
+}
+
+TEST(WorkerPool, ConcurrentCallersShareOnePool) {
+  WorkerPool pool(4);
+  std::atomic<int> wrong_region{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c)
+    callers.emplace_back(
+        [&, c] { run_tiny_regions(pool, 5000, c, wrong_region); });
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(wrong_region.load(), 0);
 }
 
 }  // namespace
